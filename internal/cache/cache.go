@@ -74,23 +74,28 @@ type Observer interface {
 }
 
 // Cache is one level of the hierarchy.
+//
+// Lines live in one flat array, set-major: way w of set s is slot
+// s*ways+w. Access, Fill and WriteWord return the slot they touched, so
+// a caller can keep per-line side data (the CPU's predecoded
+// instructions) in an array indexed the same way.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	lines      []line
 	clock      uint64
 	storesData bool
 	lineShift  uint
 	setShift   uint
 	setMask    uint32
 
-	// MRU hint: the line of the last Access hit, keyed by its
+	// MRU hint: the slot of the last Access hit, keyed by its
 	// addr>>lineShift (which identifies set and tag uniquely).
 	// Consecutive accesses to one line — the common fetch pattern —
 	// skip the associative lookup; side effects (access count, LRU
 	// clock) are identical. Any operation that moves or invalidates
-	// lines clears the hint.
+	// lines clears the hint (mruSlot = -1).
 	mruIdx  uint32
-	mruLine *line
+	mruSlot int
 
 	Stats Stats
 	// Obs, when set, observes per-set miss/conflict/eviction events.
@@ -104,11 +109,8 @@ func New(cfg Config, storesData bool) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg, storesData: storesData}
-	c.sets = make([][]line, cfg.Sets())
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, storesData: storesData, mruSlot: -1}
+	c.lines = make([]line, cfg.Sets()*cfg.Ways)
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
 	}
@@ -148,44 +150,51 @@ func log2(n uint32) int {
 	return k
 }
 
-func (c *Cache) find(addr uint32) *line {
+// set returns the lines of set, way by way.
+func (c *Cache) set(set uint32) []line {
+	first := int(set) * c.cfg.Ways
+	return c.lines[first : first+c.cfg.Ways]
+}
+
+// find returns the slot holding addr's line, or -1.
+func (c *Cache) find(addr uint32) int {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+	first := int(set) * c.cfg.Ways
+	for slot := first; slot < first+c.cfg.Ways; slot++ {
+		if ln := &c.lines[slot]; ln.valid && ln.tag == tag {
+			return slot
 		}
 	}
-	return nil
+	return -1
 }
 
 // Access looks addr up, counting the access and updating LRU on a hit.
-// It reports whether the line is present.
-func (c *Cache) Access(addr uint32) bool {
+// It reports whether the line is present and, if so, its slot.
+func (c *Cache) Access(addr uint32) (slot int, hit bool) {
 	c.Stats.Accesses++
-	if c.mruLine != nil && addr>>c.lineShift == c.mruIdx {
+	if c.mruSlot >= 0 && addr>>c.lineShift == c.mruIdx {
 		c.clock++
-		c.mruLine.lru = c.clock
-		return true
+		c.lines[c.mruSlot].lru = c.clock
+		return c.mruSlot, true
 	}
-	if ln := c.find(addr); ln != nil {
+	if s := c.find(addr); s >= 0 {
 		c.clock++
-		ln.lru = c.clock
-		c.mruIdx, c.mruLine = addr>>c.lineShift, ln
-		return true
+		c.lines[s].lru = c.clock
+		c.mruIdx, c.mruSlot = addr>>c.lineShift, s
+		return s, true
 	}
 	c.Stats.Misses++
 	if c.Obs != nil {
 		set, _ := c.index(addr)
 		c.Obs.CacheMiss(int(set), c.setFull(set))
 	}
-	return false
+	return -1, false
 }
 
 // setFull reports whether every way of set holds a valid line.
 func (c *Cache) setFull(set uint32) bool {
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
+	for _, ln := range c.set(set) {
+		if !ln.valid {
 			return false
 		}
 	}
@@ -193,37 +202,41 @@ func (c *Cache) setFull(set uint32) bool {
 }
 
 // Probe reports presence without touching statistics or LRU state.
-func (c *Cache) Probe(addr uint32) bool { return c.find(addr) != nil }
+func (c *Cache) Probe(addr uint32) bool { return c.find(addr) >= 0 }
 
-func (c *Cache) victim(set uint32) *line {
-	ways := c.sets[set]
-	v := &ways[0]
+// victim picks the slot to replace in set, counting an eviction when it
+// holds a valid line.
+func (c *Cache) victim(set uint32) int {
+	ways := c.set(set)
+	v := 0
 	for i := 1; i < len(ways); i++ {
 		if !ways[i].valid {
-			return &ways[i]
+			v = i
+			break
 		}
-		if ways[i].lru < v.lru {
-			v = &ways[i]
+		if ways[i].lru < ways[v].lru {
+			v = i
 		}
 	}
-	if v.valid {
+	if ways[v].valid {
 		c.Stats.Evictions++
 		if c.Obs != nil {
 			c.Obs.CacheEvict(int(set))
 		}
 	}
-	return v
+	return int(set)*c.cfg.Ways + v
 }
 
-func (c *Cache) allocate(addr uint32) *line {
-	c.mruLine = nil
+func (c *Cache) allocate(addr uint32) int {
+	c.mruSlot = -1
 	set, tag := c.index(addr)
 	// Re-use the existing line if present so a set never holds two ways
 	// with the same tag.
-	ln := c.find(addr)
-	if ln == nil {
-		ln = c.victim(set)
+	slot := c.find(addr)
+	if slot < 0 {
+		slot = c.victim(set)
 	}
+	ln := &c.lines[slot]
 	ln.valid = true
 	ln.tag = tag
 	c.clock++
@@ -237,56 +250,57 @@ func (c *Cache) allocate(addr uint32) *line {
 			}
 		}
 	}
-	return ln
+	return slot
 }
 
 // Fill installs the line containing addr with the given data (the
-// hardware-refill path). data must be one full line, or nil for a cache
-// that does not store data.
-func (c *Cache) Fill(addr uint32, data []byte) {
+// hardware-refill path) and returns its slot. data must be one full
+// line, or nil for a cache that does not store data; it is copied.
+func (c *Cache) Fill(addr uint32, data []byte) int {
 	if c.storesData && len(data) != c.cfg.LineBytes {
 		panic(fmt.Sprintf("cache: fill of %d bytes into %dB line", len(data), c.cfg.LineBytes))
 	}
-	ln := c.allocate(addr)
+	slot := c.allocate(addr)
 	c.Stats.LineFills++
 	if c.storesData {
-		copy(ln.data, data)
+		copy(c.lines[slot].data, data)
 	}
+	return slot
 }
 
 // WriteWord implements swic: store word w at addr inside the I-cache,
-// claiming (allocating) the line on its first write. Returns true when
-// the write claimed a new line.
-func (c *Cache) WriteWord(addr uint32, w uint32) bool {
+// claiming (allocating) the line on its first write. It returns the
+// line's slot and whether the write claimed it; a claimed line's other
+// words are zero.
+func (c *Cache) WriteWord(addr uint32, w uint32) (slot int, claimed bool) {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("cache: unaligned swic at %#x", addr))
 	}
-	ln := c.find(addr)
-	claimed := false
-	if ln == nil {
-		ln = c.allocate(addr)
+	slot = c.find(addr)
+	if slot < 0 {
+		slot = c.allocate(addr)
 		c.Stats.SwicLines++
 		claimed = true
 	} else {
 		c.clock++
-		ln.lru = c.clock
+		c.lines[slot].lru = c.clock
 	}
 	if c.storesData {
 		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(ln.data[off:off+4], w)
+		binary.LittleEndian.PutUint32(c.lines[slot].data[off:off+4], w)
 	}
-	return claimed
+	return slot, claimed
 }
 
 // ReadWord returns the cached word at addr. ok is false when the line is
 // absent (or the cache does not store data).
 func (c *Cache) ReadWord(addr uint32) (w uint32, ok bool) {
-	ln := c.find(addr)
-	if ln == nil || ln.data == nil {
+	slot := c.find(addr)
+	if slot < 0 || c.lines[slot].data == nil {
 		return 0, false
 	}
 	off := addr & uint32(c.cfg.LineBytes-1)
-	return binary.LittleEndian.Uint32(ln.data[off : off+4]), true
+	return binary.LittleEndian.Uint32(c.lines[slot].data[off : off+4]), true
 }
 
 // UpdateWord updates addr's word if its line is present (write-through
@@ -295,37 +309,51 @@ func (c *Cache) UpdateWord(addr uint32, w uint32) {
 	if !c.storesData {
 		return
 	}
-	if ln := c.find(addr); ln != nil {
+	if slot := c.find(addr); slot >= 0 {
 		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(ln.data[off:off+4], w)
+		binary.LittleEndian.PutUint32(c.lines[slot].data[off:off+4], w)
 	}
 }
 
 // Invalidate drops addr's line if present.
 func (c *Cache) Invalidate(addr uint32) {
-	c.mruLine = nil
-	if ln := c.find(addr); ln != nil {
-		ln.valid = false
+	c.mruSlot = -1
+	if slot := c.find(addr); slot >= 0 {
+		c.lines[slot].valid = false
 	}
 }
 
 // Flush invalidates every line and leaves statistics untouched.
 func (c *Cache) Flush() {
-	c.mruLine = nil
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-		}
+	c.mruSlot = -1
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
 }
 
 // LineData returns a copy of the line containing addr, or nil if absent.
 func (c *Cache) LineData(addr uint32) []byte {
-	ln := c.find(addr)
-	if ln == nil || ln.data == nil {
+	slot := c.find(addr)
+	if slot < 0 {
 		return nil
 	}
-	out := make([]byte, len(ln.data))
-	copy(out, ln.data)
-	return out
+	_, data, _ := c.SlotLine(slot)
+	return data
+}
+
+// SlotLine returns the base address and a copy of the data of the line
+// in slot. ok is false when the slot holds no valid line; data is nil
+// for a cache that does not store data.
+func (c *Cache) SlotLine(slot int) (base uint32, data []byte, ok bool) {
+	ln := &c.lines[slot]
+	if !ln.valid {
+		return 0, nil, false
+	}
+	set := uint32(slot / c.cfg.Ways)
+	base = (ln.tag<<c.setShift | set) << c.lineShift
+	if ln.data != nil {
+		data = make([]byte, len(ln.data))
+		copy(data, ln.data)
+	}
+	return base, data, true
 }

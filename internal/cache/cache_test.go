@@ -30,16 +30,19 @@ func TestConfigValidate(t *testing.T) {
 
 func TestBasicHitMiss(t *testing.T) {
 	c := MustNew(icacheCfg, true)
-	if c.Access(0x400000) {
-		t.Fatal("cold miss expected")
+	if slot, hit := c.Access(0x400000); hit || slot != -1 {
+		t.Fatalf("cold miss expected, got slot %d hit %v", slot, hit)
 	}
 	line := make([]byte, 32)
 	line[0] = 0xAB
-	c.Fill(0x400000, line)
-	if !c.Access(0x400000) || !c.Access(0x40001C) {
-		t.Fatal("hit expected after fill")
+	filled := c.Fill(0x400000, line)
+	// A hit returns the slot the fill installed, from any word of the line.
+	for _, a := range []uint32{0x400000, 0x40001C} {
+		if slot, hit := c.Access(a); !hit || slot != filled {
+			t.Fatalf("Access(%#x) = slot %d hit %v, want hit in slot %d", a, slot, hit, filled)
+		}
 	}
-	if c.Access(0x400020) {
+	if _, hit := c.Access(0x400020); hit {
 		t.Fatal("next line should miss")
 	}
 	if c.Stats.Accesses != 4 || c.Stats.Misses != 2 {
@@ -47,6 +50,14 @@ func TestBasicHitMiss(t *testing.T) {
 	}
 	if w, ok := c.ReadWord(0x400000); !ok || w != 0xAB {
 		t.Fatalf("ReadWord = %#x,%v", w, ok)
+	}
+	// SlotLine round-trips the line's base address and data.
+	base, data, ok := c.SlotLine(filled)
+	if !ok || base != 0x400000 || string(data) != string(line) {
+		t.Fatalf("SlotLine(%d) = %#x, % x, %v", filled, base, data, ok)
+	}
+	if _, _, ok := c.SlotLine(filled ^ 1); ok {
+		t.Fatal("SlotLine of an empty way must report no line")
 	}
 }
 
@@ -59,10 +70,12 @@ func TestLRUReplacement(t *testing.T) {
 	c.Access(a)
 	c.Fill(a, nil)
 	c.Access(b)
-	c.Fill(b, nil)
+	slotB := c.Fill(b, nil)
 	c.Access(a) // a now MRU
 	c.Access(d) // miss
-	c.Fill(d, nil)
+	if slot := c.Fill(d, nil); slot != slotB {
+		t.Fatalf("d filled slot %d, want the victim b's slot %d", slot, slotB)
+	}
 	if !c.Probe(a) {
 		t.Fatal("a (MRU) must survive")
 	}
@@ -77,12 +90,12 @@ func TestLRUReplacement(t *testing.T) {
 func TestSwicClaimsLine(t *testing.T) {
 	c := MustNew(icacheCfg, true)
 	addr := uint32(0x800000)
-	claimed := c.WriteWord(addr, 0x11111111)
+	slot, claimed := c.WriteWord(addr, 0x11111111)
 	if !claimed {
 		t.Fatal("first swic must claim the line")
 	}
-	if c.WriteWord(addr+4, 0x22222222) {
-		t.Fatal("second swic to same line must not claim")
+	if again, claimed := c.WriteWord(addr+4, 0x22222222); claimed || again != slot {
+		t.Fatalf("second swic to same line: slot %d claimed %v, want slot %d unclaimed", again, claimed, slot)
 	}
 	if !c.Probe(addr) {
 		t.Fatal("line must be present after swic")
@@ -227,7 +240,7 @@ func TestAssociativitySweep(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			for i := 0; i < 24; i++ {
 				addr := uint32(i * 32)
-				if !c.Access(addr) {
+				if _, hit := c.Access(addr); !hit {
 					c.Fill(addr, nil)
 				}
 			}
@@ -254,7 +267,7 @@ func TestDirectMappedConflict(t *testing.T) {
 		stride := uint32(c.Config().Sets() * 32)
 		for i := 0; i < 50; i++ {
 			for _, a := range []uint32{0, stride} {
-				if !c.Access(a) {
+				if _, hit := c.Access(a); !hit {
 					c.Fill(a, nil)
 				}
 			}

@@ -31,10 +31,13 @@ func setAddr(c *Cache, i int) uint32 {
 func TestSwicEvictionOrderInFullSet(t *testing.T) {
 	c := fourWay(t)
 	// Claim lines 0..3 -> set full, LRU order = claim order.
+	slots := make([]int, 4)
 	for i := 0; i < 4; i++ {
-		if !c.WriteWord(setAddr(c, i), uint32(0x100+i)) {
+		slot, claimed := c.WriteWord(setAddr(c, i), uint32(0x100+i))
+		if !claimed {
 			t.Fatalf("claim %d: line already present", i)
 		}
+		slots[i] = slot
 	}
 	if c.Stats.SwicLines != 4 {
 		t.Fatalf("SwicLines = %d, want 4", c.Stats.SwicLines)
@@ -44,13 +47,16 @@ func TestSwicEvictionOrderInFullSet(t *testing.T) {
 	}
 	// Touch 0 and 1 via fetch hits: LRU victim order becomes 2, 3, 0, 1.
 	for _, i := range []int{0, 1} {
-		if !c.Access(setAddr(c, i)) {
-			t.Fatalf("line %d should hit", i)
+		if slot, hit := c.Access(setAddr(c, i)); !hit || slot != slots[i] {
+			t.Fatalf("line %d: slot %d hit %v, want a hit in slot %d", i, slot, hit, slots[i])
 		}
 	}
 	for n, want := range []int{2, 3, 0, 1} {
-		if !c.WriteWord(setAddr(c, 4+n), 0xDEAD) {
-			t.Fatalf("claim %d: expected a new line", 4+n)
+		// The re-claim lands in the victim's slot.
+		slot, claimed := c.WriteWord(setAddr(c, 4+n), 0xDEAD)
+		if !claimed || slot != slots[want] {
+			t.Fatalf("claim %d: slot %d claimed %v, want a new line in victim %d's slot %d",
+				4+n, slot, claimed, want, slots[want])
 		}
 		if c.Probe(setAddr(c, want)) {
 			t.Fatalf("claim %d should have evicted line %d", 4+n, want)
@@ -65,6 +71,16 @@ func TestSwicEvictionOrderInFullSet(t *testing.T) {
 	if c.Stats.Evictions != 4 {
 		t.Fatalf("Evictions = %d, want 4", c.Stats.Evictions)
 	}
+	// Snapshot/Restore keeps every line in its slot.
+	r := fourWay(t)
+	if err := r.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for n, want := range []int{2, 3, 0, 1} {
+		if slot, hit := r.Access(setAddr(c, 4+n)); !hit || slot != slots[want] {
+			t.Fatalf("restored line %d: slot %d hit %v, want slot %d", 4+n, slot, hit, slots[want])
+		}
+	}
 }
 
 // TestSwicWriteToPresentLineRefreshesLRU: writing a word into an
@@ -76,7 +92,7 @@ func TestSwicWriteToPresentLineRefreshesLRU(t *testing.T) {
 		c.WriteWord(setAddr(c, i), uint32(i))
 	}
 	// Re-write line 0 (completing a decompressed line word by word).
-	if c.WriteWord(setAddr(c, 0)+4, 0xBEEF) {
+	if _, claimed := c.WriteWord(setAddr(c, 0)+4, 0xBEEF); claimed {
 		t.Fatal("write to a present line must not claim")
 	}
 	if c.Stats.SwicLines != 4 {

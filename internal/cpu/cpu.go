@@ -178,16 +178,16 @@ type CPU struct {
 	lastLoad int    // register written by the previous instruction if it was a load (-1 otherwise)
 	excStart uint64 // Stats.Cycles at the last exception entry
 
-	// Predecoded-instruction cache (see predecode.go). pdec maps an
-	// I-cache line base to its decoded records; curBase/curLine cache
-	// the line the PC is streaming through; hdec covers handler RAM;
-	// scratch backs the DisablePredecode reference path.
-	pdec     map[uint32][]pinstr
-	curBase  uint32
-	curLine  []pinstr
-	swicBase uint32
-	hdec     []pinstr
-	scratch  pinstr
+	// Predecoded-instruction cache (see predecode.go). pdec holds the
+	// decoded records of every I-cache word, 1<<pdShift per slot; hdec
+	// covers handler RAM; scratch backs the DisablePredecode reference
+	// path. lineBuf is the one buffer every line fill is built in
+	// (Cache.Fill copies it).
+	pdec    []pinstr
+	pdShift uint
+	hdec    []pinstr
+	scratch pinstr
+	lineBuf []byte
 
 	// Functional-engine state (see funct.go). fsWord/fsOK are the
 	// materialised decompressed code over the compressed region, one
@@ -245,8 +245,14 @@ func New(cfg Config) (*CPU, error) {
 		DC:       dc,
 		BP:       bpred.New(cfg.PredictorEntries),
 		lastLoad: -1,
+		lineBuf:  make([]byte, cfg.ICache.LineBytes),
 	}
-	c.resetPredecode()
+	for w := cfg.ICache.LineBytes / 4; w > 1; w >>= 1 {
+		c.pdShift++
+	}
+	if !cfg.DisablePredecode {
+		c.pdec = make([]pinstr, cfg.ICache.SizeBytes/4)
+	}
 	c.resetFunctional()
 	return c, nil
 }
@@ -293,11 +299,8 @@ func (c *CPU) Load(im *program.Image) error {
 			c.fdEnd = s.End()
 		}
 	}
-	c.resetPredecode()
+	c.rebuildPredecode()
 	c.resetFunctional()
-	if !c.Cfg.DisablePredecode {
-		c.predecodeHandler()
-	}
 	return nil
 }
 

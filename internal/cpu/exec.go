@@ -10,7 +10,7 @@ import (
 // Step fetches, executes and retires one instruction, charging cycles to
 // the timing model.
 func (c *CPU) Step() error {
-	p, err := c.fetch()
+	p, err := c.fetch(true)
 	if err != nil || p == nil {
 		// p == nil: a decompression exception redirected the PC into the
 		// handler instead of delivering an instruction.
@@ -23,7 +23,13 @@ func (c *CPU) Step() error {
 // when a decompression exception was raised instead. With
 // Cfg.DisablePredecode the word is decoded afresh into a scratch record
 // every cycle — same engine, reference timing.
-func (c *CPU) fetch() (*pinstr, error) {
+//
+// timed is false for the functional warming engine: an I-cache miss
+// makes the same cache, predecode and memory-traffic changes but
+// charges no cycles, counts nothing in Stats and reports nothing to
+// telemetry or the profiler; a software decompression miss raises the
+// functional exception instead. Hits do the same work in both modes.
+func (c *CPU) fetch(timed bool) (*pinstr, error) {
 	pc := c.pc
 	if pc&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned fetch at %#x", pc)
@@ -43,14 +49,18 @@ func (c *CPU) fetch() (*pinstr, error) {
 		}
 		return p, nil
 	}
-	if !c.IC.Access(pc) {
+	slot, hit := c.IC.Access(pc)
+	if !hit {
 		if c.InCompressedRegion(pc) {
-			if c.Cfg.HardwareDecompress {
-				if err := c.hardwareFill(pc); err != nil {
-					return nil, err
+			if !c.Cfg.HardwareDecompress {
+				if timed {
+					return nil, c.raiseDecompress(pc)
 				}
-			} else {
-				return nil, c.raiseDecompress(pc)
+				return nil, c.fraiseDecompress(pc)
+			}
+			var err error
+			if slot, err = c.hardwareFill(pc, timed); err != nil {
+				return nil, err
 			}
 		} else {
 			// Hardware fill from backed memory.
@@ -58,20 +68,21 @@ func (c *CPU) fetch() (*pinstr, error) {
 			if !c.Mem.Backed(base) {
 				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
 			}
-			line := make([]byte, c.Cfg.ICache.LineBytes)
-			start := c.Stats.Cycles
-			stall := c.Mem.ReadBlock(base, line)
-			c.IC.Fill(base, line)
-			c.predecodeFill(base, line)
-			c.Stats.Cycles += uint64(stall)
-			c.Stats.FetchStalls += uint64(stall)
-			c.Stats.CPIStack[CycleFetchStall] += uint64(stall)
-			c.Stats.IMissNative++
-			if c.Tel != nil {
-				c.Tel.IFill(pc, start, uint64(stall), FillNative)
-			}
-			if c.Prof != nil && !c.inHandler {
-				c.Prof.CountMiss(pc)
+			stall := c.Mem.ReadBlock(base, c.lineBuf)
+			slot = c.IC.Fill(base, c.lineBuf)
+			c.predecodeFill(slot, base, c.lineBuf)
+			if timed {
+				start := c.Stats.Cycles
+				c.Stats.Cycles += uint64(stall)
+				c.Stats.FetchStalls += uint64(stall)
+				c.Stats.CPIStack[CycleFetchStall] += uint64(stall)
+				c.Stats.IMissNative++
+				if c.Tel != nil {
+					c.Tel.IFill(pc, start, uint64(stall), FillNative)
+				}
+				if c.Prof != nil && !c.inHandler {
+					c.Prof.CountMiss(pc)
+				}
 			}
 		}
 	}
@@ -83,15 +94,7 @@ func (c *CPU) fetch() (*pinstr, error) {
 		c.scratch = decodeInstr(pc, w)
 		return &c.scratch, nil
 	}
-	base := c.IC.LineBase(pc)
-	if base != c.curBase {
-		ln := c.plineFor(base)
-		if ln == nil {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
-		c.curBase, c.curLine = base, ln
-	}
-	p := &c.curLine[(pc-base)>>2]
+	p := &c.pdec[c.pindex(slot, pc)]
 	if c.Cfg.PredecodeCheck {
 		w, ok := c.IC.ReadWord(pc)
 		if !ok {
@@ -107,24 +110,22 @@ func (c *CPU) fetch() (*pinstr, error) {
 // hardwareFill models a hardware decompression unit: the compressed
 // bytes are fetched over the bus (about half a line for the dictionary
 // scheme) and decoded with a fixed latency, then the native line is
-// installed — no exception, no handler instructions.
-func (c *CPU) hardwareFill(pc uint32) error {
-	if c.goldenText == nil {
-		return fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
+// installed — no exception, no handler instructions. It returns the
+// line's slot. Untimed (the warming engine), it charges nothing and
+// instead materialises the words into the functional store, where the
+// equivalence oracle checks them.
+func (c *CPU) hardwareFill(pc uint32, timed bool) (int, error) {
+	base, line, err := c.goldenLine(pc)
+	if err != nil {
+		return -1, err
 	}
-	base := c.IC.LineBase(pc)
-	n := c.Cfg.ICache.LineBytes
-	line := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := base + uint32(i)
-		if c.goldenText.Contains(a) {
-			line[i] = c.goldenText.Data[a-c.goldenText.Base]
-		}
+	slot := c.IC.Fill(base, line)
+	c.predecodeFill(slot, base, line)
+	if !timed {
+		return slot, c.fhardwareFill(pc)
 	}
 	start := c.Stats.Cycles
-	stall := c.Mem.Burst(n/2) + c.Cfg.HWDecompressCycles
-	c.IC.Fill(base, line)
-	c.predecodeFill(base, line)
+	stall := c.Mem.Burst(len(line)/2) + c.Cfg.HWDecompressCycles
 	c.Stats.Cycles += uint64(stall)
 	c.Stats.FetchStalls += uint64(stall)
 	c.Stats.CPIStack[CycleExcService] += uint64(stall)
@@ -135,9 +136,31 @@ func (c *CPU) hardwareFill(pc uint32) error {
 	if c.Prof != nil && !c.inHandler {
 		c.Prof.CountMiss(pc)
 	}
-	return nil
+	return slot, nil
 }
 
+// goldenLine builds the decompressed line containing pc — what a
+// hardware decompressor produces — from the golden text into the
+// reused line buffer.
+func (c *CPU) goldenLine(pc uint32) (base uint32, line []byte, err error) {
+	g := c.goldenText
+	if g == nil {
+		return 0, nil, fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
+	}
+	base = c.IC.LineBase(pc)
+	line = c.lineBuf
+	for i := range line {
+		line[i] = 0
+		if a := base + uint32(i); g.Contains(a) {
+			line[i] = g.Data[a-g.Base]
+		}
+	}
+	return base, line, nil
+}
+
+// raiseDecompress is the detailed engine's decompression exception:
+// the repeated-exception guard, the counters and the entry charge, then
+// the architectural entry.
 func (c *CPU) raiseDecompress(pc uint32) error {
 	if c.inHandler {
 		return fmt.Errorf("cpu: nested decompression exception at %#x", pc)
@@ -161,17 +184,25 @@ func (c *CPU) raiseDecompress(pc uint32) error {
 	if c.Prof != nil {
 		c.Prof.CountMiss(pc)
 	}
-	c.c0[4] = pc    // EPC
-	c.c0[5] = pc    // BADVA
-	c.c0[6] |= 1    // StatusEXL
 	c.lastLoad = -1 // the flush drains the pipeline
+	c.enterHandler(pc)
+	return nil
+}
+
+// enterHandler is the architectural effect of a decompression
+// exception, the same in both engines: EPC and BADVA latch pc, EXL is
+// set, the shadow register file is selected when enabled, and the PC
+// vectors to the handler.
+func (c *CPU) enterHandler(pc uint32) {
+	c.c0[4] = pc // EPC
+	c.c0[5] = pc // BADVA
+	c.c0[6] |= 1 // StatusEXL
 	c.inHandler = true
 	c.savedBank = c.bank
 	if c.c0[6]&2 != 0 { // shadow register file enabled
 		c.bank = 1
 	}
 	c.pc = c.handlerPC
-	return nil
 }
 
 // execute is the single execution engine: both the predecoded fast
@@ -220,7 +251,7 @@ func (c *CPU) execute(p *pinstr) error {
 		c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 		c.countCall(pc, next)
 	case pSyscall:
-		if err := c.syscall(r); err != nil {
+		if err := c.syscall(r, pc); err != nil {
 			return err
 		}
 	case pBreak:
@@ -392,10 +423,7 @@ func (c *CPU) execute(p *pinstr) error {
 		if addr&3 != 0 {
 			return fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 		}
-		c.IC.WriteWord(addr, r[p.rt])
-		if !c.Cfg.DisablePredecode {
-			c.predecodeSwic(addr)
-		}
+		c.swic(addr, r[p.rt])
 		cycles += uint64(c.Cfg.SwicExtraCycles)
 		if wasHandler {
 			c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)
@@ -495,7 +523,7 @@ func (c *CPU) branch(pc uint32, taken bool) uint64 {
 // dRead performs the D-cache access for a load and returns stall cycles.
 // Stores are write-through/no-allocate and charge no stall (write buffer).
 func (c *CPU) dRead(addr uint32) uint64 {
-	if c.DC.Access(addr) {
+	if _, hit := c.DC.Access(addr); hit {
 		return 0
 	}
 	stall := c.Mem.Burst(c.Cfg.DCache.LineBytes)
@@ -505,7 +533,7 @@ func (c *CPU) dRead(addr uint32) uint64 {
 	return uint64(stall)
 }
 
-func (c *CPU) syscall(r *[32]uint32) error {
+func (c *CPU) syscall(r *[32]uint32, pc uint32) error {
 	switch r[2] { // $v0
 	case isa.SysPrintInt:
 		c.print(fmt.Sprintf("%d", int32(r[4])))
@@ -528,7 +556,7 @@ func (c *CPU) syscall(r *[32]uint32) error {
 		c.halted = true
 		c.exitCode = int32(r[4])
 	default:
-		return fmt.Errorf("cpu: unknown syscall %d at %#x", r[2], c.pc)
+		return fmt.Errorf("cpu: unknown syscall %d at %#x", r[2], pc)
 	}
 	return nil
 }

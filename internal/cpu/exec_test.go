@@ -178,10 +178,24 @@ func TestUnalignedAccessErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownSyscallErrors: both engines name the syscall's own
+// address. The functional engine keeps the PC in a local between region
+// changes, so the CPU's pc field would name the start of the run.
 func TestUnknownSyscallErrors(t *testing.T) {
-	err := errRun(t, exitWith("ori $v0, $zero, 999\nsyscall"))
-	if err == nil || !strings.Contains(err.Error(), "unknown syscall") {
-		t.Fatalf("err = %v", err)
+	im, err := asm.Assemble(exitWith("nop\nnop\nori $v0, $zero, 99\nsyscall"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cpu: unknown syscall 99 at 0x40000c"
+	for _, functional := range []bool{false, true} {
+		c, _ := New(DefaultConfig())
+		c.Cfg.Functional = functional
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err == nil || err.Error() != want {
+			t.Errorf("functional=%v: err = %v, want %q", functional, err, want)
+		}
 	}
 }
 

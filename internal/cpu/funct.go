@@ -52,7 +52,10 @@ package cpu
 // turns this mode on for its intervals). Warming trades speed for
 // fidelity; plain fast-forward keeps the direct-dispatch path.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // FunctStats counts work done by the functional engine. These are
 // architectural counters, not timing ones: there is no cycle column
@@ -79,7 +82,7 @@ func (c *CPU) resetFunctional() {
 
 // fensure allocates the flat functional stores for the current image
 // geometry. The decode caches are skipped in warming mode (warm fetches
-// go through the real I-cache and predecode lines instead).
+// go through the detailed engine's fetch path instead).
 func (c *CPU) fensure() {
 	if c.compEnd > c.compStart {
 		n := (c.compEnd - c.compStart) >> 2
@@ -331,10 +334,10 @@ func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (boo
 // requires Config.FunctionalWarm.
 //
 // Fetch resolves through one of five sources, in order: the handler
-// predecode inside the handler; the warming path (real I-cache and
-// predecode lines) under Config.FunctionalWarm; the compressed-region
-// decode cache; the native-extent decode cache; a per-fetch decode for
-// code executing anywhere else.
+// predecode inside the handler; the detailed engine's fetch, untimed,
+// under Config.FunctionalWarm; the compressed-region decode cache; the
+// native-extent decode cache; a per-fetch decode for code executing
+// anywhere else.
 func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 	c.fensure()
 	var retired uint64
@@ -396,7 +399,7 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 				}
 			} else {
 				c.pc = pc
-				q, err := c.ffetchWarm(pc)
+				q, err := c.fetch(false)
 				if err != nil {
 					return false, false, err
 				}
@@ -506,7 +509,7 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 			c.setr(r, int(p.rd), pc+4)
 			next = r[p.rs]
 		case pSyscall:
-			if err := c.syscall(r); err != nil {
+			if err := c.syscall(r, pc); err != nil {
 				c.pc = pc
 				return false, false, err
 			}
@@ -710,10 +713,7 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 				v ^= 4
 			}
 			if warm {
-				c.IC.WriteWord(addr, v)
-				if !c.Cfg.DisablePredecode {
-					c.predecodeSwic(addr)
-				}
+				c.swic(addr, v)
 			}
 			c.fsPut(addr, v)
 
@@ -747,77 +747,11 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 	return c.halted, false, nil
 }
 
-// ffetchWarm is the detailed fetch path stripped of its timing: same
-// I-cache accesses, fills and predecode maintenance, no cycles, no
-// stall counters, no telemetry. A nil, nil return means a decompression
-// exception was raised instead of delivering an instruction.
-func (c *CPU) ffetchWarm(pc uint32) (*pinstr, error) {
-	if !c.IC.Access(pc) {
-		if c.InCompressedRegion(pc) {
-			if c.Cfg.HardwareDecompress {
-				if err := c.fhardwareFillWarm(pc); err != nil {
-					return nil, err
-				}
-			} else {
-				return nil, c.fraiseDecompress(pc)
-			}
-		} else {
-			base := c.IC.LineBase(pc)
-			if !c.Mem.Backed(base) {
-				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
-			}
-			line := make([]byte, c.Cfg.ICache.LineBytes)
-			c.Mem.ReadBlock(base, line)
-			c.IC.Fill(base, line)
-			c.predecodeFill(base, line)
-		}
-	}
-	if c.Cfg.DisablePredecode {
-		w, ok := c.IC.ReadWord(pc)
-		if !ok {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
-		c.scratch = decodeInstr(pc, w)
-		return &c.scratch, nil
-	}
-	base := c.IC.LineBase(pc)
-	if base != c.curBase {
-		ln := c.plineFor(base)
-		if ln == nil {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
-		c.curBase, c.curLine = base, ln
-	}
-	return &c.curLine[(pc-base)>>2], nil
-}
-
-// fhardwareFillWarm is hardwareFill without the cycle charges: the
-// native line is built from golden text, installed in the I-cache and
-// predecoded; the words are also materialised into the functional store
-// so the equivalence oracle sees them.
-func (c *CPU) fhardwareFillWarm(pc uint32) error {
-	if c.goldenText == nil {
-		return fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
-	}
-	base := c.IC.LineBase(pc)
-	n := c.Cfg.ICache.LineBytes
-	line := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := base + uint32(i)
-		if c.goldenText.Contains(a) {
-			line[i] = c.goldenText.Data[a-c.goldenText.Base]
-		}
-	}
-	c.IC.Fill(base, line)
-	c.predecodeFill(base, line)
-	return c.fhardwareFill(pc)
-}
-
 // fwarmLoad is dRead without the stall charge: in warming mode a load
 // touches the D-cache and fills it on a miss. Callers guard on
 // Cfg.FunctionalWarm so the plain fast-forward path pays no call.
 func (c *CPU) fwarmLoad(addr uint32) {
-	if !c.DC.Access(addr) {
+	if _, hit := c.DC.Access(addr); !hit {
 		c.DC.Fill(c.DC.LineBase(addr), nil)
 	}
 }
@@ -856,8 +790,9 @@ func (c *CPU) ffetch(pc uint32) (*pinstr, bool, error) {
 	}
 }
 
-// fraiseDecompress is the functional decompression exception: identical
-// architectural effects to raiseDecompress, no cycle charges. In
+// fraiseDecompress is the functional decompression exception: its own
+// repeated-exception guard and counter, then the same architectural
+// entry as raiseDecompress, with no cycle charges. In
 // hardware-decompress mode the line is materialised directly instead.
 func (c *CPU) fraiseDecompress(pc uint32) error {
 	if c.Cfg.HardwareDecompress {
@@ -875,15 +810,7 @@ func (c *CPU) fraiseDecompress(pc uint32) error {
 		c.flastExc, c.fexcRepet = pc, 0
 	}
 	c.FStats.Exceptions++
-	c.c0[4] = pc // EPC
-	c.c0[5] = pc // BADVA
-	c.c0[6] |= 1 // StatusEXL
-	c.inHandler = true
-	c.savedBank = c.bank
-	if c.c0[6]&2 != 0 { // shadow register file enabled
-		c.bank = 1
-	}
-	c.pc = c.handlerPC
+	c.enterHandler(pc)
 	return nil
 }
 
@@ -891,19 +818,12 @@ func (c *CPU) fraiseDecompress(pc uint32) error {
 // text into the functional store (the functional mirror of
 // hardwareFill).
 func (c *CPU) fhardwareFill(pc uint32) error {
-	if c.goldenText == nil {
-		return fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
+	base, line, err := c.goldenLine(pc)
+	if err != nil {
+		return err
 	}
-	base := c.IC.LineBase(pc)
-	for i := 0; i < c.Cfg.ICache.LineBytes; i += 4 {
-		a := base + uint32(i)
-		var w uint32
-		for b := 0; b < 4; b++ {
-			if c.goldenText.Contains(a + uint32(b)) {
-				w |= uint32(c.goldenText.Data[a+uint32(b)-c.goldenText.Base]) << (8 * b)
-			}
-		}
-		c.fsPut(a, w)
+	for i := 0; i < len(line); i += 4 {
+		c.fsPut(base+uint32(i), binary.LittleEndian.Uint32(line[i:]))
 	}
 	return nil
 }

@@ -11,25 +11,23 @@ import (
 //
 // The paper's premise is that decompression cost is paid once per
 // I-cache fill while steady-state execution runs at native speed; the
-// simulator mirrors that structure on the host axis. Every line is
-// decoded into pinstr records exactly once — when it enters the
-// I-cache (hardware fill, hardware decompression, or a handler swic) —
-// and the per-cycle hot loop dispatches on a dense opcode instead of
-// re-extracting isa fields from the raw word.
+// simulator mirrors that structure on the host axis. Every word is
+// decoded into a pinstr record when it enters the I-cache (hardware
+// fill, hardware decompression, or a handler swic), and the per-cycle
+// hot loop dispatches on a dense opcode instead of re-extracting isa
+// fields from the raw word.
 //
-// Coherence rule: predecoded content may only be consulted for
-// addresses the I-cache currently holds, and every operation that
-// changes I-cache line content invalidates or re-predecodes it. There
-// are exactly two such operations in the simulator: Cache.Fill
-// re-predecodes eagerly (predecodeFill — the data is in hand), and
-// Cache.WriteWord (swic) invalidates the written line, which is then
-// decoded lazily on its next fetch (predecodeSwic / plineFor) so a
-// line the decompressor writes word-by-word is decoded once, not once
-// per word. Handler RAM is not cached, so it is predecoded once at
-// Load and patched on stores into [handlerPC, handlerEnd)
-// (noteHandlerStore). Entries for evicted lines may go stale in the
-// map, but they are unreachable: a fetch of that base misses, and the
-// refill re-predecodes.
+// Coherence rule: every I-cache content change updates its slot in
+// place; there is no lazy path. pdec holds one record per I-cache word,
+// indexed by the cache slot (set*ways+way) that Cache.Access, Fill and
+// WriteWord return, so a fetch hit indexes it directly. The changes are
+// Cache.Fill (predecodeFill decodes the line just installed), swic
+// (decodes the word it wrote, and on a line claim the zeroed rest) and
+// the wholesale replacement of the cache at Load and RestoreState
+// (rebuildPredecode). Records of an evicted line are unreachable —
+// Access misses — until a fill or swic claim overwrites the slot.
+// Handler RAM is not cached, so it is predecoded once at Load and
+// patched on stores into [handlerPC, handlerEnd) (noteHandlerStore).
 //
 // Config.PredecodeCheck turns every fetch into a coherence oracle
 // (cached record vs a fresh decode of the backing word);
@@ -249,26 +247,26 @@ func decodeInstr(pc, w uint32) pinstr {
 	return p
 }
 
-// decodeLine predecodes one full I-cache line.
-func decodeLine(base uint32, data []byte) []pinstr {
-	ins := make([]pinstr, len(data)/4)
-	for i := range ins {
-		a := base + uint32(i*4)
-		ins[i] = decodeInstr(a, binary.LittleEndian.Uint32(data[i*4:]))
-	}
-	return ins
+// pindex returns the index in pdec of addr's record, given the I-cache
+// slot holding addr's line.
+func (c *CPU) pindex(slot int, addr uint32) int {
+	return slot<<c.pdShift | int(addr>>2)&(1<<c.pdShift-1)
 }
 
-// curBaseInvalid is an unaligned sentinel for "no current line".
-const curBaseInvalid uint32 = 1
-
-// resetPredecode clears all predecoded state (called from Load).
-func (c *CPU) resetPredecode() {
-	c.pdec = make(map[uint32][]pinstr)
-	c.curBase = curBaseInvalid
-	c.curLine = nil
-	c.swicBase = curBaseInvalid
+// rebuildPredecode decodes every line the I-cache holds and the
+// handler RAM (called from Load and RestoreState, whose I-cache and
+// memory may already hold code).
+func (c *CPU) rebuildPredecode() {
 	c.hdec = nil
+	if c.Cfg.DisablePredecode {
+		return
+	}
+	for slot := 0; slot < len(c.pdec)>>c.pdShift; slot++ {
+		if base, data, ok := c.IC.SlotLine(slot); ok {
+			c.predecodeFill(slot, base, data)
+		}
+	}
+	c.predecodeHandler()
 }
 
 // predecodeHandler decodes the decompression handler's RAM once; the
@@ -286,59 +284,35 @@ func (c *CPU) predecodeHandler() {
 	}
 }
 
-// predecodeFill re-decodes a line just installed by Cache.Fill.
-func (c *CPU) predecodeFill(base uint32, data []byte) {
+// predecodeFill decodes the line data at base into slot's records: the
+// line Cache.Fill just installed there, or one found by
+// rebuildPredecode.
+func (c *CPU) predecodeFill(slot int, base uint32, data []byte) {
 	if c.Cfg.DisablePredecode {
 		return
 	}
-	ln := decodeLine(base, data)
-	c.pdec[base] = ln
-	if c.curBase == base {
-		c.curLine = ln
-	}
-	if c.swicBase == base {
-		// The line is coherent again; a future swic must not be skipped.
-		c.swicBase = curBaseInvalid
+	ins := c.pdec[c.pindex(slot, 0):][:len(data)/4]
+	for i := range ins {
+		ins[i] = decodeInstr(base+uint32(i*4), binary.LittleEndian.Uint32(data[i*4:]))
 	}
 }
 
-// predecodeSwic keeps the predecoded image coherent with a swic write:
-// the written line's records are invalidated and rebuilt lazily on its
-// next fetch (plineFor), so a line the decompressor writes word-by-word
-// is decoded once, not once per word. swicBase caches the line being
-// written: all but the first word of a line return after one compare.
-// plineFor clears it before rebuilding, so a later swic to the same
-// (now re-decoded) line invalidates again instead of being skipped.
-func (c *CPU) predecodeSwic(addr uint32) {
-	base := c.IC.LineBase(addr)
-	if base == c.swicBase {
+// swic writes w at addr into the I-cache and updates the predecode in
+// place: the written word is decoded, and when the write claimed the
+// line its other words, which the cache zeroed, are decoded as zero.
+func (c *CPU) swic(addr, w uint32) {
+	slot, claimed := c.IC.WriteWord(addr, w)
+	if c.Cfg.DisablePredecode {
 		return
 	}
-	delete(c.pdec, base)
-	c.swicBase = base
-	if c.curBase == base {
-		c.curBase, c.curLine = curBaseInvalid, nil
+	if claimed {
+		zero := decodeInstr(addr, 0) // sll $0,$0,0: the same at any address
+		ins := c.pdec[c.pindex(slot, 0):][:1<<c.pdShift]
+		for i := range ins {
+			ins[i] = zero
+		}
 	}
-}
-
-// plineFor returns the predecoded line at base, building it from the
-// cache contents when absent — swic-written lines (decoded lazily here,
-// once per fill) and lines installed behind the simulator's back (tests
-// poking the I-cache directly).
-func (c *CPU) plineFor(base uint32) []pinstr {
-	if ln := c.pdec[base]; ln != nil {
-		return ln
-	}
-	data := c.IC.LineData(base)
-	if data == nil {
-		return nil
-	}
-	ln := decodeLine(base, data)
-	c.pdec[base] = ln
-	if c.swicBase == base {
-		c.swicBase = curBaseInvalid
-	}
-	return ln
+	c.pdec[c.pindex(slot, addr)] = decodeInstr(addr, w)
 }
 
 // noteHandlerStore re-predecodes the handler-RAM word a store just

@@ -6,15 +6,17 @@ package cpu
 // geometry, the golden decompressed text, the pipeline-local hazard
 // and exception-guard state, both engines' statistics, and the
 // functional engine's materialised code store. The predecode caches
-// (pdec/curLine/hdec/swicBase) and the functional decode caches are
-// pure caches over state captured elsewhere (the I-cache, memory, the
-// functional store) and are rebuilt lazily after RestoreState.
+// (pdec/hdec) and the functional decode caches are pure caches over
+// state captured elsewhere (the I-cache, memory, the functional store):
+// RestoreState rebuilds the predecode, and the functional decode caches
+// refill as they are used.
 //
 // MachineState deliberately excludes the memory image, the caches and
 // the branch predictor: those live in their own packages with their own
 // Snapshot/Restore (internal/fastpath composes all of them into one
-// checkpoint). RestoreState assumes memory has already been restored —
-// it re-predecodes handler RAM from memory.
+// checkpoint). RestoreState assumes memory and the I-cache have already
+// been restored — it re-predecodes the cached lines and handler RAM
+// from them.
 
 import (
 	"sort"
@@ -121,8 +123,8 @@ func (c *CPU) CaptureState() MachineState {
 
 // RestoreState replaces the CPU core state with the snapshot and
 // rebuilds the derived caches (predecode, the functional decode
-// caches). Memory must be restored before calling this: handler RAM
-// is re-predecoded from it.
+// caches). Memory and the I-cache must be restored before calling
+// this: the predecode is rebuilt from them.
 func (c *CPU) RestoreState(st MachineState) {
 	c.regs = st.Regs
 	c.bank = st.Bank
@@ -160,7 +162,6 @@ func (c *CPU) RestoreState(st MachineState) {
 	c.Stats = st.Stats
 	c.FStats = st.FStats
 
-	c.resetPredecode()
 	c.resetFunctional()
 	// The native code extent is normally set by Load from the image's
 	// segment table; a restored CPU has no image, so rederive it from
@@ -178,7 +179,5 @@ func (c *CPU) RestoreState(st MachineState) {
 	for _, fw := range st.FStore {
 		c.fsPut(fw.Addr, fw.Word)
 	}
-	if !c.Cfg.DisablePredecode {
-		c.predecodeHandler()
-	}
+	c.rebuildPredecode()
 }

@@ -42,6 +42,9 @@ func newMachine(t *testing.T, im *rtd.Image) (*cpu.CPU, *bytes.Buffer) {
 	t.Helper()
 	cfg := rtd.DefaultMachine()
 	cfg.MaxInstr = 100_000_000
+	// Every resumed run audits the predecode RestoreState rebuilt
+	// against the restored I-cache words.
+	cfg.PredecodeCheck = true
 	c, err := cpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +176,16 @@ func TestCheckpointMidHandler(t *testing.T) {
 					t.Fatal("program halted before entering the handler")
 				}
 			}
-			// A few instructions deep into the burst, not just the entry.
-			for i := 0; i < 10 && c.InHandler(); i++ {
+			// Partway through the swic sequence: one instruction past the
+			// handler's first swic, which claimed the line and wrote only
+			// its first word.
+			for c.IC.Stats.SwicLines == 0 && c.InHandler() {
 				if err := c.Step(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
 			}
 			st := c.CaptureState()
 			if !st.InHandler {
