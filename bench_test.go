@@ -2,6 +2,7 @@ package rtd_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -11,8 +12,10 @@ import (
 	"repro/internal/compress/codepack"
 	"repro/internal/compress/dict"
 	"repro/internal/compress/lzrw1"
+	"repro/internal/cpu"
 	"repro/internal/experiment"
 	"repro/internal/perfwatch"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -116,9 +119,11 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkWorkloads runs every perfwatch registry workload as a
 // sub-benchmark — the same workloads `ccbench run` records to
 // BENCH_*.json, so `go test -bench Workloads` and the trajectory files
-// measure the same thing. Simulated cycles are reported as a metric;
-// compare wall times across trees with benchstat, or use `ccbench
-// compare` for the gated exact/statistical split.
+// measure the same thing. Simulated cycles are reported as a metric and
+// instrs/s comes from each sample's timed repetitions alone
+// (Host.NsPerInstr), leaving out RunWorkload's untimed native baseline
+// and attributed run; compare wall times across trees with benchstat,
+// or use `ccbench compare` for the gated exact/statistical split.
 func BenchmarkWorkloads(b *testing.B) {
 	for _, w := range perfwatch.Registry() {
 		b.Run(w.Name, func(b *testing.B) {
@@ -128,6 +133,7 @@ func BenchmarkWorkloads(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
+			var nsPerInstr float64
 			for i := 0; i < b.N; i++ {
 				s, err := r.RunWorkload(w)
 				if err != nil {
@@ -136,9 +142,10 @@ func BenchmarkWorkloads(b *testing.B) {
 				if s.Sim.Cycles != warm.Sim.Cycles {
 					b.Fatalf("nondeterministic workload: %d vs %d cycles", s.Sim.Cycles, warm.Sim.Cycles)
 				}
+				nsPerInstr += s.Host.NsPerInstr
 			}
 			b.ReportMetric(float64(warm.Sim.Cycles), "sim-cycles")
-			b.ReportMetric(float64(warm.Sim.Instrs+warm.Sim.HandlerInstrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
+			b.ReportMetric(1e9*float64(b.N)/nsPerInstr, "instrs/s")
 		})
 	}
 }
@@ -227,8 +234,8 @@ func BenchmarkDecompressionPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead is the overhead guard for the telemetry
-// layer: Off runs the simulator exactly as the seed did (no collector,
+// BenchmarkTelemetryOverhead is the overhead guard for the observer
+// layers: Off runs the simulator exactly as the seed did (no collector,
 // hooks nil — the CPI stack's array adds are the only always-on cost),
 // On attaches the full collector. Compare the two with benchstat; Off
 // must stay within ~2% of the pre-telemetry seed, and the gap between
@@ -275,6 +282,34 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			instrs += out.Stats.Instrs + out.Stats.HandlerInstrs
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	})
+	// Profiled attaches a profile.Recorder instead and verifies its
+	// attribution invariant after the run; the gap between Off and
+	// Profiled is the spatial-attribution cost.
+	b.Run("profiled", func(b *testing.B) {
+		var instrs uint64
+		for i := 0; i < b.N; i++ {
+			cfg := rtd.DefaultMachine()
+			cfg.MaxInstr = 2_000_000_000
+			c, err := cpu.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Out = io.Discard
+			rec := profile.NewRecorder(res.Image)
+			rec.Attach(c)
+			if err := c.Load(res.Image); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if err := rec.Verify(); err != nil {
+				b.Fatal(err)
+			}
+			instrs += c.Stats.Instrs + c.Stats.HandlerInstrs
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 	})

@@ -1,6 +1,7 @@
 // Command ccverify checks that two program images are architecturally
 // equivalent by running them in lockstep and comparing every committed
-// user instruction and the register state. Use it to validate a
+// user instruction and the register state, then the exit code and the
+// printed output at halt. Use it to validate a
 // compressed image against its native original:
 //
 //	ccverify prog.img prog.cc.img

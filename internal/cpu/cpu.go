@@ -219,7 +219,10 @@ type CPU struct {
 	Out    io.Writer
 	// Trace, when set, receives every committed instruction (after
 	// execution): its address, encoding and whether it ran inside the
-	// decompression handler. Used by the trace ring in internal/trace.
+	// decompression handler. It fires after the instruction's Stats
+	// updates and after the PC has advanced, so inside a tracer PC()
+	// is the next fetch address (EPC after an iret) and InHandler()
+	// the next commit's mode. Used by the trace ring in internal/trace.
 	// Prefer AttachTrace over assigning directly: attaching composes
 	// with previously installed tracers instead of replacing them.
 	Trace func(pc, instr uint32, handler bool)

@@ -461,13 +461,14 @@ func (c *CPU) execute(p *pinstr) error {
 		}
 	}
 	// The commit tracers fire after every Stats update for this
-	// instruction, so a tracer observing Stats (the telemetry window
-	// sampler) sees a consistent snapshot covering exactly the commits
-	// delivered so far.
+	// instruction and after the PC update, so a tracer observing Stats
+	// (the telemetry window sampler) sees a consistent snapshot covering
+	// exactly the commits delivered so far, and PC() is the next fetch
+	// address (the profile recorder's lookahead).
+	c.pc = next
 	if c.Trace != nil {
 		c.Trace(pc, p.raw, wasHandler)
 	}
-	c.pc = next
 	return nil
 }
 

@@ -40,8 +40,9 @@ const ArtifactSchema = 1
 
 // Cost is one attribution bucket: the full cpu.Stats decomposition
 // (plus bus traffic) charged to a line or procedure. All fields are
-// sums of per-commit deltas except ExcCyclesMax, which is the maximum
-// single exception-service latency attributed to the bucket.
+// sums of the deltas of the commits charged to it except ExcCyclesMax,
+// which is the maximum single exception-service latency attributed to
+// the bucket.
 type Cost struct {
 	Cycles        uint64 `json:"cycles"`
 	Instrs        uint64 `json:"instrs"`

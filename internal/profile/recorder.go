@@ -8,10 +8,9 @@ import (
 	"repro/internal/program"
 )
 
-// Recorder attributes every cpu.Stats delta to its source site, one
-// committed instruction at a time, through the composable commit-trace
-// hook (cpu.AttachTrace). It is a pure observer: attaching one changes
-// no simulated state and no cycle count.
+// Recorder attributes every cpu.Stats delta to its source site through
+// the composable commit-trace hook (cpu.AttachTrace). It is a pure
+// observer: attaching one changes no simulated state and no cycle count.
 //
 // Attribution rule: a user commit's delta is charged to the line and
 // procedure of its own PC; a handler commit's delta is charged to the
@@ -21,19 +20,36 @@ import (
 // commits — and therefore lands in the first handler commit's delta —
 // every cycle of a miss's service ends up on the compressed line that
 // missed, never on the handler RAM.
+//
+// Commits are charged a run at a time. A run is a maximal sequence of
+// consecutive commits whose target (PC, or EPC for handler commits)
+// lies in one range: one I-cache line intersected with one procedure
+// or with the gap between two procedures. Every commit of a run lands
+// in the same line and procedure buckets, so the run's Stats delta is
+// diffed once, when it closes, instead of once per commit; the buckets
+// come out identical to per-commit charging.
 type Recorder struct {
 	im        *program.Image
 	c         *cpu.CPU
 	lineBytes uint32
 
-	lines    map[uint32]*Cost
-	lastAddr uint32 // line-base memo: consecutive commits usually share a line
-	lastLine *Cost
+	lines map[uint32]*Cost
 
 	// procCosts has one bucket per im.Procs entry, in table order, plus a
 	// trailing bucket for commits outside every procedure.
 	procCosts []Cost
 	lastProc  int // procedure-index memo
+
+	// The open run covers targets in [runLo, runLo+runLen), charged to
+	// runLine (the bucket of line runLineAddr) and procCosts[runProc].
+	// runLine outlives its run as the line memo for the next one.
+	open        bool
+	runLo       uint32
+	runLen      uint32
+	runLineAddr uint32
+	runLine     *Cost
+	runProc     int
+	err         error // first commit that fell outside its run
 
 	committed uint64
 	prev      cpu.Stats
@@ -58,13 +74,78 @@ func (r *Recorder) Attach(c *cpu.CPU) {
 	c.AttachTrace(func(pc, instr uint32, handler bool) { r.observe(pc, handler) })
 }
 
-// observe charges one commit's Stats delta to the responsible site.
+// observe extends the open run by one commit and closes it when the
+// next commit cannot belong to it. The lookahead is exact: the tracer
+// runs after the PC update, charges made between commits (fetch stalls,
+// the exception entry flush) belong to the next commit, and an
+// exception latches EPC equal to the PC it faulted on. An iret always
+// closes the run, so a run holds at most one exception-service
+// interval and its ExcCyclesTotal delta is that interval's latency.
 func (r *Recorder) observe(pc uint32, handler bool) {
+	c := r.c
 	target := pc
 	if handler {
-		target = r.c.C0(4) // EPC: the faulting fetch this handler services
+		target = c.C0(4) // EPC: the faulting fetch this handler services
 	}
-	s := r.c.Stats
+	if !r.open {
+		r.openRun(target)
+	} else if target-r.runLo >= r.runLen && r.err == nil {
+		// Only a handler rewriting EPC mid-service gets here.
+		r.err = fmt.Errorf("profile: commit at %#x charges %#x, outside its run [%#x, %#x)",
+			pc, target, r.runLo, uint64(r.runLo)+uint64(r.runLen))
+	}
+	r.committed++
+	inHandler := c.InHandler()
+	next := c.PC()
+	if inHandler {
+		next = c.C0(4)
+	}
+	if handler && !inHandler || next-r.runLo >= r.runLen {
+		r.closeRun()
+	}
+}
+
+// openRun starts a run for target: its range is target's I-cache line
+// intersected with its procedure or inter-procedure gap.
+func (r *Recorder) openRun(target uint32) {
+	la := target &^ (r.lineBytes - 1)
+	if r.runLine == nil || la != r.runLineAddr {
+		lc := r.lines[la]
+		if lc == nil {
+			lc = new(Cost)
+			r.lines[la] = lc
+		}
+		r.runLineAddr, r.runLine = la, lc
+	}
+	lo, end := uint64(la), uint64(la)+uint64(r.lineBytes)
+	procs := r.im.Procs
+	r.runProc = r.procIndex(target)
+	if i := r.runProc; i < len(procs) {
+		lo = max(lo, uint64(procs[i].Addr))
+		end = min(end, uint64(procs[i].Addr)+uint64(procs[i].Size))
+	} else {
+		// Outside the table: the gap between the neighbouring
+		// procedures, which are sorted and disjoint.
+		j := sort.Search(len(procs), func(j int) bool { return procs[j].Addr > target })
+		if j > 0 {
+			lo = max(lo, uint64(procs[j-1].Addr)+uint64(procs[j-1].Size))
+		}
+		if j < len(procs) {
+			end = min(end, uint64(procs[j].Addr))
+		}
+	}
+	r.runLo, r.runLen = uint32(lo), uint32(end-lo)
+	r.open = true
+}
+
+// closeRun charges the open run's Stats delta to its line and procedure
+// buckets. A no-op when no run is open.
+func (r *Recorder) closeRun() {
+	if !r.open {
+		return
+	}
+	r.open = false
+	s := &r.c.Stats
 	reads, bytes := r.c.Mem.Reads, r.c.Mem.BytesRead
 	d := Cost{
 		Cycles:          s.Cycles - r.prev.Cycles,
@@ -83,30 +164,18 @@ func (r *Recorder) observe(pc uint32, handler bool) {
 	for k := range d.CPIStack {
 		d.CPIStack[k] = s.CPIStack[k] - r.prev.CPIStack[k]
 	}
-	// Exactly one service interval closes per iret commit, so this
-	// commit's ExcCyclesTotal delta *is* that interval's latency; merging
-	// deltas by max reproduces the whole-run ExcCyclesMax exactly.
+	// A run closes no more than one service interval (observe), so its
+	// ExcCyclesTotal delta *is* that interval's latency; merging deltas
+	// by max reproduces the whole-run ExcCyclesMax exactly.
 	d.ExcCyclesMax = d.ExcCyclesTotal
-
-	la := target &^ (r.lineBytes - 1)
-	if r.lastLine == nil || la != r.lastAddr {
-		lc := r.lines[la]
-		if lc == nil {
-			lc = new(Cost)
-			r.lines[la] = lc
-		}
-		r.lastAddr, r.lastLine = la, lc
-	}
-	r.lastLine.Add(d)
-	r.procCosts[r.procIndex(target)].Add(d)
-
-	r.prev = s
+	r.runLine.Add(d)
+	r.procCosts[r.runProc].Add(d)
+	r.prev = *s
 	r.prevReads, r.prevBytes = reads, bytes
-	r.committed++
 }
 
 // procIndex maps an address to its procedure bucket (len(im.Procs) for
-// outside-table addresses), memoizing the last hit: commits cluster
+// outside-table addresses), memoizing the last hit: runs cluster
 // inside one procedure, so the common case is a bounds check.
 func (r *Recorder) procIndex(addr uint32) int {
 	procs := r.im.Procs
@@ -131,6 +200,7 @@ func (r *Recorder) Committed() uint64 { return r.committed }
 // address order (plus the outside bucket when nonzero), and the
 // whole-run total. Caller stamps identity/manifest.
 func (r *Recorder) Profile() *Profile {
+	r.closeRun()
 	p := &Profile{
 		SchemaVersion: ArtifactSchema,
 		LineBytes:     int(r.lineBytes),
@@ -191,6 +261,10 @@ func (r *Recorder) Verify() error {
 	if r.c == nil {
 		return fmt.Errorf("profile: recorder never attached")
 	}
+	if r.err != nil {
+		return r.err
+	}
+	r.closeRun()
 	s := r.c.Stats
 	var lineSum Cost
 	for _, lc := range r.lines {

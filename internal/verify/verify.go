@@ -1,14 +1,15 @@
 // Package verify provides differential verification of program images:
 // two images (typically a native program and its compressed rewrite) run
 // in lockstep, and the first architectural divergence — a differing
-// committed instruction or register state — is reported with full
-// context. Decompression is meant to be invisible to the program, so any
-// divergence is a bug in a compressor, a handler or the re-layout.
+// committed instruction, register state, exit code or output — is
+// reported with full context. Decompression is meant to be invisible to
+// the program, so any divergence is a bug in a compressor, a handler or
+// the re-layout.
 package verify
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/cpu"
@@ -37,6 +38,7 @@ func (d *Divergence) Error() string {
 type machine struct {
 	c    *cpu.CPU
 	im   *program.Image
+	out  bytes.Buffer // everything the program wrote via syscalls
 	last struct {
 		pc, instr uint32
 	}
@@ -48,8 +50,8 @@ func newMachine(im *program.Image, cfg cpu.Config) (*machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Out = io.Discard
 	m := &machine{c: c, im: im}
+	c.Out = &m.out
 	c.Trace = func(pc, instr uint32, handler bool) {
 		if !handler {
 			m.last.pc, m.last.instr = pc, instr
@@ -93,9 +95,11 @@ func procRelative(im *program.Image, pc uint32) (string, uint32) {
 //     are compared by procedure-relative position instead), and
 //   - the full general-purpose register state, masking registers that
 //     legitimately hold code addresses ($ra, and the operands of jr/jalr)
-//     and the OS-reserved $k0/$k1 the handlers use as scratch.
+//     and the OS-reserved $k0/$k1 the handlers use as scratch;
 //
-// It returns nil when the runs are equivalent, or the first Divergence.
+// and, once both halt, the exit codes and everything each program
+// printed. It returns nil when the runs are equivalent, or the first
+// Divergence.
 func Lockstep(a, b *program.Image, cfg cpu.Config, maxSteps uint64) error {
 	ma, err := newMachine(a, cfg)
 	if err != nil {
@@ -113,14 +117,9 @@ func Lockstep(a, b *program.Image, cfg cpu.Config, maxSteps uint64) error {
 		}
 		if haltedA || haltedB {
 			if haltedA != haltedB {
-				return &Divergence{Step: step, What: "one machine halted before the other",
-					PCA: ma.last.pc, PCB: mb.last.pc, InstrA: ma.last.instr, InstrB: mb.last.instr}
+				return divergence(step, ma, mb, "one machine halted before the other")
 			}
-			codeA, _ := ma.c.Halted()
-			codeB, _ := mb.c.Halted()
-			_ = codeA
-			_ = codeB
-			return nil
+			return compareExit(step, ma, mb)
 		}
 		d := compare(step, ma, mb)
 		if d != nil {
@@ -130,11 +129,29 @@ func Lockstep(a, b *program.Image, cfg cpu.Config, maxSteps uint64) error {
 	return nil
 }
 
-func compare(step uint64, ma, mb *machine) *Divergence {
-	div := func(what string) *Divergence {
-		return &Divergence{Step: step, What: what,
-			PCA: ma.last.pc, PCB: mb.last.pc, InstrA: ma.last.instr, InstrB: mb.last.instr}
+// divergence reports what differs at step, with both machines' last
+// committed instruction as context.
+func divergence(step uint64, ma, mb *machine, what string) *Divergence {
+	return &Divergence{Step: step, What: what,
+		PCA: ma.last.pc, PCB: mb.last.pc, InstrA: ma.last.instr, InstrB: mb.last.instr}
+}
+
+// compareExit checks exit code and captured output once both machines
+// have halted.
+func compareExit(step uint64, ma, mb *machine) error {
+	_, codeA := ma.c.Halted()
+	_, codeB := mb.c.Halted()
+	if codeA != codeB {
+		return divergence(step, ma, mb, fmt.Sprintf("exit codes differ: %d vs %d", codeA, codeB))
 	}
+	if !bytes.Equal(ma.out.Bytes(), mb.out.Bytes()) {
+		return divergence(step, ma, mb, fmt.Sprintf("outputs differ: %q vs %q", ma.out.String(), mb.out.String()))
+	}
+	return nil
+}
+
+func compare(step uint64, ma, mb *machine) *Divergence {
+	div := func(what string) *Divergence { return divergence(step, ma, mb, what) }
 	// Compare instruction identity: same encoding, or (for instructions
 	// that embed code addresses) the same procedure-relative position.
 	if ma.last.instr != mb.last.instr {

@@ -1,9 +1,11 @@
 package verify
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/program"
@@ -125,5 +127,96 @@ func TestSelfLockstep(t *testing.T) {
 	}
 	if err := Lockstep(im, im, cfg(), 0); err != nil {
 		t.Fatalf("image must be equivalent to itself: %v", err)
+	}
+}
+
+func assemble(t *testing.T, src string) *program.Image {
+	t.Helper()
+	im, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// mustDiverge requires Lockstep to report a *Divergence whose
+// description contains want.
+func mustDiverge(t *testing.T, a, b *program.Image, want string) {
+	t.Helper()
+	err := Lockstep(a, b, cfg(), 0)
+	var d *Divergence
+	if !errors.As(err, &d) {
+		t.Fatalf("want a divergence, got %v", err)
+	}
+	if !strings.Contains(d.What, want) {
+		t.Fatalf("divergence %q does not mention %q", d.What, want)
+	}
+}
+
+const exitSrc = `
+        .text
+        .proc main
+main:   ori   $a0, $zero, CODE
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+`
+
+// TestLockstepDetectsExitCode: two programs differing only in their exit
+// code are not equivalent.
+func TestLockstepDetectsExitCode(t *testing.T) {
+	a := assemble(t, strings.Replace(exitSrc, "CODE", "3", 1))
+	b := assemble(t, strings.Replace(exitSrc, "CODE", "4", 1))
+	mustDiverge(t, a, b, "")
+}
+
+// TestLockstepComparesExitCodeAtHalt exits with a code address, which
+// the per-step register comparison deliberately reads
+// procedure-relatively: the two layouts agree on every step, so only
+// the final exit-code comparison can tell them apart.
+func TestLockstepComparesExitCodeAtHalt(t *testing.T) {
+	const body = `
+        .proc main
+main:   la    $a0, f
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc f
+f:      jr    $ra
+        .endp
+`
+	a := assemble(t, "        .text\n"+body)
+	b := assemble(t, `
+        .text
+        .proc pad
+pad:    jr    $ra
+        .endp
+        .entry main
+`+body)
+	mustDiverge(t, a, b, "exit codes differ")
+}
+
+// TestLockstepComparesOutput: two programs differing in one printed
+// character — held in data, so no register ever differs — are not
+// equivalent.
+func TestLockstepComparesOutput(t *testing.T) {
+	const src = `
+        .data
+msg:    .asciiz "MSG"
+        .text
+        .proc main
+main:   la    $a0, msg
+        ori   $v0, $zero, 4
+        syscall
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+`
+	a := assemble(t, strings.Replace(src, "MSG", "hello", 1))
+	b := assemble(t, strings.Replace(src, "MSG", "hellp", 1))
+	mustDiverge(t, a, b, "outputs differ")
+	if err := Lockstep(a, a, cfg(), 0); err != nil {
+		t.Fatalf("identical output reported as divergent: %v", err)
 	}
 }
