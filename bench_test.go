@@ -17,6 +17,7 @@ import (
 	"repro/internal/perfwatch"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/verify"
 )
 
 // benchScale shortens the benchmark runs so `go test -bench=.` completes
@@ -312,6 +313,48 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			instrs += c.Stats.Instrs + c.Stats.HandlerInstrs
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	})
+}
+
+// BenchmarkLockstep is the cost guard for differential verification:
+// plain runs native and dict+rf go (scale 0.1) one after the other on
+// the detailed engine, lockstep runs them against each other with
+// verify.Lockstep. Both report ns per step, one step being one native
+// user instruction, so lockstep's ns/step over plain's is the price of
+// stepping the two machines together and comparing them at every step.
+func BenchmarkLockstep(b *testing.B) {
+	im, err := rtd.BuildBenchmarkScaled("go", 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := rtd.Compress(im, rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := rtd.DefaultMachine()
+	cfg.MaxInstr = 2_000_000_000
+	nat, err := rtd.Run(im, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := float64(nat.Stats.Instrs)
+	b.Run("plain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, run := range []*rtd.Image{im, res.Image} {
+				if _, err := rtd.Run(run, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
+	})
+	b.Run("lockstep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := verify.Lockstep(im, res.Image, cfg, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steps, "ns/step")
 	})
 }
 

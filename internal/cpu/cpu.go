@@ -313,6 +313,11 @@ func (c *CPU) PC() uint32 { return c.pc }
 // Reg returns register r of the active file.
 func (c *CPU) Reg(r int) uint32 { return c.regs[c.bank][r] }
 
+// RegFile returns the active register file, for callers that read every
+// register at once. It is read-only, and valid until the next Step: a
+// handler entry or iret switches the active file.
+func (c *CPU) RegFile() *[32]uint32 { return &c.regs[c.bank] }
+
 // SetReg writes register r of the active file ($zero writes are dropped).
 func (c *CPU) SetReg(r int, v uint32) {
 	if r != 0 {

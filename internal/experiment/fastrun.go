@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -50,35 +51,39 @@ func (s *Suite) SampledRun(bench string, opts core.Options, cacheKB int, scfg fa
 }
 
 // FunctionalRun executes one fresh purely functional run of bench at
-// cacheKB and returns its architectural counters. Callers wrap it in
-// wall-clock timing (it is the fast tier's host-speed datum), so the
-// run is never cached; the checksum check keeps it honest.
-func (s *Suite) FunctionalRun(bench string, opts core.Options, cacheKB int) (cpu.FunctStats, error) {
+// cacheKB and returns its architectural counters and the host time of
+// the functional run alone: image lookup, cpu.New and Load are outside
+// it. It is the fast tier's host-speed datum, so the run is never
+// cached; the checksum check keeps it honest.
+func (s *Suite) FunctionalRun(bench string, opts core.Options, cacheKB int) (cpu.FunctStats, time.Duration, error) {
 	im, nat, err := s.imageFor(bench, opts, cacheKB)
 	if err != nil {
-		return cpu.FunctStats{}, err
+		return cpu.FunctStats{}, 0, err
 	}
 	c, err := cpu.New(s.machine(cacheKB))
 	if err != nil {
-		return cpu.FunctStats{}, err
+		return cpu.FunctStats{}, 0, err
 	}
 	var out bytes.Buffer
 	c.Out = &out
 	if err := c.Load(im); err != nil {
-		return cpu.FunctStats{}, err
+		return cpu.FunctStats{}, 0, err
 	}
+	//cccheck:allow(det) host axis: the functional engine's wall-clock speed is the measurement
+	start := time.Now()
 	code, err := fastpath.Functional(c)
+	wall := time.Since(start)
 	if err != nil {
-		return cpu.FunctStats{}, fmt.Errorf("%s %s @%dKB functional: %v", bench, opts.Scheme, cacheKB, err)
+		return cpu.FunctStats{}, 0, fmt.Errorf("%s %s @%dKB functional: %v", bench, opts.Scheme, cacheKB, err)
 	}
 	if code != 0 {
-		return cpu.FunctStats{}, fmt.Errorf("%s %s @%dKB functional: exit code %d", bench, opts.Scheme, cacheKB, code)
+		return cpu.FunctStats{}, 0, fmt.Errorf("%s %s @%dKB functional: exit code %d", bench, opts.Scheme, cacheKB, code)
 	}
 	if out.String() != nat {
-		return cpu.FunctStats{}, fmt.Errorf("%s %s @%dKB functional: output %q, native baseline %q",
+		return cpu.FunctStats{}, 0, fmt.Errorf("%s %s @%dKB functional: output %q, native baseline %q",
 			bench, opts.Scheme, cacheKB, out.String(), nat)
 	}
-	return c.FStats, nil
+	return c.FStats, wall, nil
 }
 
 // imageFor resolves the run image for (bench, opts) plus the native

@@ -3,9 +3,9 @@ package perfwatch
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/fastpath"
 )
 
@@ -31,9 +31,11 @@ type FastMetrics struct {
 	DetailedInstrs  uint64  `json:"detailed_instrs"`
 	TotalInstrs     uint64  `json:"total_instrs"`
 
-	// FunctWallNs / FunctInstrs time one purely functional run (user +
-	// handler instructions); FunctNsPerInstr is their ratio, comparable
-	// with Host.NsPerInstr for the fast tier's host-speedup claim.
+	// FunctWallNs is the median over Runner.Reps purely functional runs
+	// of the run alone (no image lookup, cpu.New or Load); FunctInstrs
+	// counts one run's user + handler instructions. FunctNsPerInstr is
+	// their ratio, comparable with Host.NsPerInstr for the fast tier's
+	// host-speedup claim.
 	FunctWallNs     int64   `json:"funct_wall_ns"`
 	FunctInstrs     uint64  `json:"funct_instrs"`
 	FunctNsPerInstr float64 `json:"funct_ns_per_instr"`
@@ -50,8 +52,8 @@ func (s Sample) SampledDrift() (float64, bool) {
 
 // FunctSpeedup returns the fast-forward host speedup: how many times
 // faster the functional engine gets through this workload's program
-// than the detailed engine (median detailed wall over functional wall,
-// both timed around the same cpu.New+Load+run shape). Wall-for-wall is
+// than the detailed engine (median detailed wall, which also holds
+// cpu.New and Load, over median functional run wall). Wall-for-wall is
 // the honest metric — a per-instruction ratio would hide the functional
 // engine's other advantage, that it executes each compressed line's
 // handler burst once instead of once per I-cache re-fault.
@@ -70,12 +72,19 @@ func (r *Runner) measureFast(w Workload, opts core.Options, sim SimMetrics) (*Fa
 	if err != nil {
 		return nil, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
 	}
-	//cccheck:allow(det) host axis: the functional engine's wall-clock speed is the measurement
-	start := time.Now()
-	fstats, err := r.suite.FunctionalRun(w.Bench, opts, w.CacheKB)
-	wall := time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
+	var walls []int64
+	var fstats cpu.FunctStats
+	for rep := 0; rep < max(r.Reps, 1); rep++ {
+		st, wall, err := r.suite.FunctionalRun(w.Bench, opts, w.CacheKB)
+		if err != nil {
+			return nil, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
+		}
+		if rep > 0 && st != fstats {
+			return nil, fmt.Errorf("perfwatch: %s: functional counters diverged between repetitions (simulator nondeterminism): %+v vs %+v",
+				w.Name, fstats, st)
+		}
+		fstats = st
+		walls = append(walls, wall.Nanoseconds())
 	}
 	f := &FastMetrics{
 		SampledCPI:       res.CPI,
@@ -86,7 +95,7 @@ func (r *Runner) measureFast(w Workload, opts core.Options, sim SimMetrics) (*Fa
 		Bursts:           res.Bursts,
 		DetailedInstrs:   res.DetailedInstrs,
 		TotalInstrs:      res.TotalInstrs,
-		FunctWallNs:      wall.Nanoseconds(),
+		FunctWallNs:      medianInt64(walls),
 		FunctInstrs:      fstats.Instrs + fstats.HandlerInstrs,
 	}
 	if f.FunctInstrs > 0 {

@@ -1,13 +1,14 @@
 package verify
 
-// Multi-way lockstep: run N images of the same program (native plus any
-// number of compressed variants) simultaneously, comparing every
+// The lockstep engine: run N images of the same program (native plus
+// any number of compressed variants) simultaneously, comparing every
 // committed user instruction of each variant against the reference
-// (index 0). This generalises Lockstep for the differential
-// co-simulation harness (internal/diffsim), and additionally:
+// (index 0). Lockstep is its two-image case; the differential
+// co-simulation harness (internal/diffsim) uses it directly. Besides
+// instructions and registers it:
 //
-//   - captures each machine's syscall output instead of discarding it,
-//     so output traces can be compared;
+//   - captures each machine's syscall output, so exit codes and output
+//     are compared once all machines halt;
 //   - compares the HI/LO registers (handlers never touch them);
 //   - exposes an OnCommit hook observing *every* commit, including
 //     handler instructions, for external oracles (swic content checks,
@@ -17,6 +18,7 @@ package verify
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -87,10 +89,16 @@ func (e *MachineError) Error() string {
 
 func (e *MachineError) Unwrap() error { return e.Err }
 
-// mmachine is a machine with output capture and full-commit tracing.
-type mmachine struct {
+// errBudget marks LockstepMulti's step-budget error; Lockstep treats it
+// as "equivalent so far".
+var errBudget = errors.New("exhausted before halt")
+
+// machine is one CPU of a lockstep run, stepped one committed user
+// instruction at a time, with its output captured.
+type machine struct {
 	c    *cpu.CPU
 	im   *program.Image
+	ids  map[string]int32 // procedure name -> identity, shared by every machine
 	out  bytes.Buffer
 	last struct {
 		pc, instr uint32
@@ -98,14 +106,21 @@ type mmachine struct {
 	pending      bool
 	steps        uint64
 	handlerBurst uint64
+	// cur is the procedure the last committed PC fell in: consecutive
+	// steps mostly stay inside one, so pcPos answers them without a
+	// search.
+	cur struct {
+		addr, size uint32
+		id         int32
+	}
 }
 
-func newMMachine(idx int, im *program.Image, cfg *MultiConfig) (*mmachine, error) {
+func newMachine(idx int, im *program.Image, ids map[string]int32, cfg *MultiConfig) (*machine, error) {
 	c, err := cpu.New(cfg.CPU)
 	if err != nil {
 		return nil, err
 	}
-	m := &mmachine{c: c, im: im}
+	m := &machine{c: c, im: im, ids: ids}
 	c.Out = &m.out
 	c.Trace = func(pc, instr uint32, handler bool) {
 		if handler {
@@ -129,7 +144,7 @@ func newMMachine(idx int, im *program.Image, cfg *MultiConfig) (*mmachine, error
 
 // stepUser advances until one user instruction commits, running handler
 // activity silently but bounded.
-func (m *mmachine) stepUser(maxBurst uint64) (halted bool, err error) {
+func (m *machine) stepUser(maxBurst uint64) (halted bool, err error) {
 	m.pending = false
 	m.handlerBurst = 0
 	for !m.pending {
@@ -148,11 +163,35 @@ func (m *mmachine) stepUser(maxBurst uint64) (halted bool, err error) {
 	return false, nil
 }
 
+// locate maps addr to (procedure identity, offset) so that images with
+// different layouts compare position-independently; outside every
+// procedure it returns (-1, addr).
+func (m *machine) locate(addr uint32) (int32, uint32) {
+	if p := m.im.ProcAt(addr); p != nil {
+		return m.ids[p.Name], addr - p.Addr
+	}
+	return -1, addr
+}
+
+// pcPos is locate of the last committed PC, memoised on its procedure.
+func (m *machine) pcPos() (int32, uint32) {
+	pc := m.last.pc
+	if off := pc - m.cur.addr; off < m.cur.size {
+		return m.cur.id, off
+	}
+	p := m.im.ProcAt(pc)
+	if p == nil {
+		return -1, pc
+	}
+	m.cur.addr, m.cur.size, m.cur.id = p.Addr, p.Size, m.ids[p.Name]
+	return m.cur.id, pc - p.Addr
+}
+
 // LockstepMulti runs every image in lockstep against images[0] and
-// returns the final machine states. A non-nil error is either a
-// *MultiDivergence (an architectural mismatch — a finding) or an
-// infrastructure error (a machine faulted or the step budget ran out
-// before the reference halted).
+// returns the final machine states. A non-nil error is a
+// *MultiDivergence (an architectural mismatch — a finding), a
+// *MachineError (a machine faulted), or an error saying the step budget
+// ran out before the reference halted.
 func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, error) {
 	if len(images) < 2 {
 		return nil, fmt.Errorf("verify: LockstepMulti needs at least 2 images, got %d", len(images))
@@ -161,9 +200,17 @@ func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, er
 	if maxBurst == 0 {
 		maxBurst = 1 << 20
 	}
-	ms := make([]*mmachine, len(images))
+	ids := map[string]int32{}
+	for _, im := range images {
+		for _, p := range im.Procs {
+			if _, ok := ids[p.Name]; !ok {
+				ids[p.Name] = int32(len(ids))
+			}
+		}
+	}
+	ms := make([]*machine, len(images))
 	for i, im := range images {
-		m, err := newMMachine(i, im, &cfg)
+		m, err := newMachine(i, im, ids, &cfg)
 		if err != nil {
 			return nil, fmt.Errorf("verify: image %d: %v", i, err)
 		}
@@ -190,10 +237,7 @@ func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, er
 				return results(), &MachineError{Img: i, Step: step, Err: err}
 			}
 			if halted != haltedRef {
-				return results(), &MultiDivergence{Img: i, Step: step,
-					What: "one machine halted before the other",
-					PCA:  ms[0].last.pc, PCB: ms[i].last.pc,
-					InstrA: ms[0].last.instr, InstrB: ms[i].last.instr}
+				return results(), divergence(step, ms[0], ms[i], i, "one machine halted before the other")
 			}
 		}
 		if haltedRef {
@@ -211,68 +255,87 @@ func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, er
 			}
 		}
 	}
-	return results(), fmt.Errorf("verify: step budget %d exhausted before halt", cfg.MaxSteps)
+	return results(), fmt.Errorf("verify: step budget %d %w", cfg.MaxSteps, errBudget)
 }
 
-// compareStep checks instruction identity and register state of machine
-// m against the reference, mirroring Lockstep's masking rules and adding
-// HI/LO.
-func compareStep(step uint64, ref, m *mmachine, idx int) *MultiDivergence {
-	div := func(what string) *MultiDivergence {
-		return &MultiDivergence{Img: idx, Step: step, What: what,
-			PCA: ref.last.pc, PCB: m.last.pc,
-			InstrA: ref.last.instr, InstrB: m.last.instr}
-	}
-	pa, oa := procRelative(ref.im, ref.last.pc)
-	pb, ob := procRelative(m.im, m.last.pc)
+// divergence reports what differs at step between the reference and
+// machine idx, with both machines' last committed instruction as context.
+func divergence(step uint64, ref, m *machine, idx int, what string) *MultiDivergence {
+	return &MultiDivergence{Img: idx, Step: step, What: what,
+		PCA: ref.last.pc, PCB: m.last.pc,
+		InstrA: ref.last.instr, InstrB: m.last.instr}
+}
+
+// unchecked masks the registers compareStep leaves out: $ra and $t9
+// hold code addresses, layout-dependent by design; $k0/$k1 are
+// OS-reserved, the single-register-file handlers' exception-level
+// scratch, which user code may never observe (the static analyzer,
+// internal/analysis, exempts them for the same reason).
+const unchecked = 1<<isa.RegRA | 1<<isa.RegT9 | 1<<isa.RegK0 | 1<<isa.RegK1
+
+// sameChecked reports whether two register files agree on every
+// register outside unchecked: $zero..$t8 and $gp..$fp, compared as two
+// blocks.
+func sameChecked(a, b *[isa.NumRegs]uint32) bool {
+	return *(*[isa.RegT9]uint32)(a[:]) == *(*[isa.RegT9]uint32)(b[:]) &&
+		*(*[isa.RegRA - isa.RegGP]uint32)(a[isa.RegGP:]) == *(*[isa.RegRA - isa.RegGP]uint32)(b[isa.RegGP:])
+}
+
+// compareStep checks instruction identity, register state and HI/LO of
+// machine m against the reference. Both checks are equality-first: the
+// procedure-relative reading runs only where plain equality fails.
+func compareStep(step uint64, ref, m *machine, idx int) *MultiDivergence {
+	// Instruction identity: the same encoding at the same
+	// procedure-relative position or, for instructions that embed code
+	// addresses (j/jal target, lui/ori address halves), the same opcode
+	// there.
+	pa, oa := ref.pcPos()
+	pb, ob := m.pcPos()
+	samePos := pa == pb && oa == ob
 	if ref.last.instr != m.last.instr {
-		if pa != pb || oa != ob {
-			return div("different instruction position")
+		if !samePos {
+			return divergence(step, ref, m, idx, "different instruction position")
 		}
 		if isa.Op(ref.last.instr) != isa.Op(m.last.instr) {
-			return div("different opcode at same position")
+			return divergence(step, ref, m, idx, "different opcode at same position")
 		}
-	} else if pa != pb || oa != ob {
-		return div("same instruction at different position")
+	} else if !samePos {
+		return divergence(step, ref, m, idx, "same instruction at different position")
 	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if r == isa.RegRA || r == isa.RegT9 || r == isa.RegK0 || r == isa.RegK1 {
-			continue // same masking rationale as Lockstep
+	if ra, rb := ref.c.RegFile(), m.c.RegFile(); !sameChecked(ra, rb) {
+		for r, va := range ra {
+			vb := rb[r]
+			if va == vb || unchecked>>r&1 != 0 {
+				continue
+			}
+			// Values that are code addresses in their own images are
+			// compared procedure-relatively.
+			na, oa := ref.locate(va)
+			nb, ob := m.locate(vb)
+			if na >= 0 && na == nb && oa == ob {
+				continue
+			}
+			return divergence(step, ref, m, idx, fmt.Sprintf("register %s differs: %#x vs %#x", isa.RegName(r), va, vb))
 		}
-		va, vb := ref.c.Reg(r), m.c.Reg(r)
-		if va == vb {
-			continue
-		}
-		na, oa := procRelative(ref.im, va)
-		nb, ob := procRelative(m.im, vb)
-		if na != "" && na == nb && oa == ob {
-			continue
-		}
-		return div(fmt.Sprintf("register %s differs: %#x vs %#x", isa.RegName(r), va, vb))
 	}
 	hiA, loA := ref.c.HiLo()
 	hiB, loB := m.c.HiLo()
 	if hiA != hiB || loA != loB {
-		return div(fmt.Sprintf("HI/LO differ: %#x/%#x vs %#x/%#x", hiA, loA, hiB, loB))
+		return divergence(step, ref, m, idx, fmt.Sprintf("HI/LO differ: %#x/%#x vs %#x/%#x", hiA, loA, hiB, loB))
 	}
 	return nil
 }
 
 // compareFinal checks exit code and captured output once both machines
 // have halted.
-func compareFinal(step uint64, ref, m *mmachine, idx int) *MultiDivergence {
-	div := func(what string) *MultiDivergence {
-		return &MultiDivergence{Img: idx, Step: step, What: what,
-			PCA: ref.last.pc, PCB: m.last.pc,
-			InstrA: ref.last.instr, InstrB: m.last.instr}
-	}
+func compareFinal(step uint64, ref, m *machine, idx int) *MultiDivergence {
 	_, codeA := ref.c.Halted()
 	_, codeB := m.c.Halted()
 	if codeA != codeB {
-		return div(fmt.Sprintf("exit codes differ: %d vs %d", codeA, codeB))
+		return divergence(step, ref, m, idx, fmt.Sprintf("exit codes differ: %d vs %d", codeA, codeB))
 	}
 	if !bytes.Equal(ref.out.Bytes(), m.out.Bytes()) {
-		return div(fmt.Sprintf("outputs differ: %q vs %q", ref.out.String(), m.out.String()))
+		return divergence(step, ref, m, idx, fmt.Sprintf("outputs differ: %q vs %q", ref.out.String(), m.out.String()))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/synth"
 )
@@ -218,5 +219,165 @@ main:   la    $a0, msg
 	mustDiverge(t, a, b, "outputs differ")
 	if err := Lockstep(a, a, cfg(), 0); err != nil {
 		t.Fatalf("identical output reported as divergent: %v", err)
+	}
+}
+
+// TestLockstepComparesHiLo: mult and multu of a negative operand leave
+// the same LO but different HI. Nothing reads HI afterwards, so
+// registers, output and exit code agree, and both encodings are SPECIAL:
+// only the per-step HI/LO comparison tells the programs apart.
+func TestLockstepComparesHiLo(t *testing.T) {
+	const src = `
+        .text
+        .proc main
+main:   addiu $t0, $zero, -1
+        ori   $t1, $zero, 2
+        MUL   $t0, $t1
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+`
+	a := assemble(t, strings.Replace(src, "MUL", "mult", 1))
+	b := assemble(t, strings.Replace(src, "MUL", "multu", 1))
+	mustDiverge(t, a, b, "HI/LO differ: 0xffffffff/0xfffffffe vs 0x1/0xfffffffe")
+	if err := Lockstep(a, a, cfg(), 0); err != nil {
+		t.Fatalf("identical HI/LO reported as divergent: %v", err)
+	}
+}
+
+// padded prefixes body with a procedure that never runs, so every
+// procedure of body lands at a different address than in "\t.text\n"+body.
+func padded(body string) string {
+	return `
+        .text
+        .proc pad
+pad:    jr    $ra
+        .endp
+        .entry main
+` + body
+}
+
+// TestLockstepCompareFallback pins what the per-step compare reports
+// once its equality-first checks fail, through both entry points: a
+// differing value register is named with both values at the step it was
+// written; a register holding the same procedure-relative code address
+// under two layouts, the masked $ra/$t9/$k0/$k1, and a step that moves
+// into the next procedure of one layout only, are not differences; the
+// same instruction at the same offset of another procedure is.
+func TestLockstepCompareFallback(t *testing.T) {
+	const codeAddr = `
+        .proc main
+main:   la    $t0, f
+        ori   $t1, $zero, V
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc f
+f:      jr    $ra
+        .endp
+`
+	const masked = `
+        .text
+        .proc main
+main:   ori   $ra, $zero, V
+        ori   $t9, $zero, V
+        ori   $k0, $zero, V
+        ori   $k1, $zero, V
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+`
+	const call = `
+        .text
+        .proc main
+main:   jal   V
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc f
+f:      ori   $t0, $zero, 1
+        jr    $ra
+        .endp
+        .proc g
+g:      ori   $t0, $zero, 1
+        jr    $ra
+        .endp
+`
+	// tail runs f, which jumps straight to g: where g directly follows
+	// f, g's first step is one past the end of the procedure the last
+	// step ran in.
+	const f, g = `
+        .proc f
+f:      ori   $t1, $zero, 2
+        j     g
+        .endp
+`, `
+        .proc g
+g:      ori   $t0, $zero, 1
+        jr    $ra
+        .endp
+`
+	const tail = `
+        .text
+        .proc main
+main:   jal   f
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+`
+	v := func(src, val string) string { return strings.ReplaceAll(src, "V", val) }
+	for _, tc := range []struct {
+		name string
+		a, b string
+		step uint64 // of the divergence, when want is set
+		want string // exact divergence text; "" = equivalent
+	}{
+		{"value register", "\t.text\n" + v(codeAddr, "5"), "\t.text\n" + v(codeAddr, "6"),
+			2, "register $t1 differs: 0x5 vs 0x6"},
+		{"value register after code address", "\t.text\n" + v(codeAddr, "5"), padded(v(codeAddr, "6")),
+			2, "register $t1 differs: 0x5 vs 0x6"},
+		{"code address under two layouts", "\t.text\n" + v(codeAddr, "5"), padded(v(codeAddr, "5")), 0, ""},
+		{"masked registers", v(masked, "1"), v(masked, "2"), 0, ""},
+		{"same instruction in another procedure", v(call, "f"), v(call, "g"),
+			1, "same instruction at different position"},
+		{"adjacent procedures in another order", tail + f + g, tail + g + f, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := assemble(t, tc.a), assemble(t, tc.b)
+			errL := Lockstep(a, b, cfg(), 0)
+			_, errM := LockstepMulti([]*program.Image{a, b}, MultiConfig{CPU: cfg()})
+			if tc.want == "" {
+				if errL != nil || errM != nil {
+					t.Fatalf("want equivalent, got Lockstep: %v, LockstepMulti: %v", errL, errM)
+				}
+				return
+			}
+			var d *Divergence
+			if !errors.As(errL, &d) || d.What != tc.want || d.Step != tc.step {
+				t.Fatalf("Lockstep: got %v, want %q at step %d", errL, tc.want, tc.step)
+			}
+			var md *MultiDivergence
+			if !errors.As(errM, &md) || md.What != tc.want || md.Step != tc.step || md.Img != 1 {
+				t.Fatalf("LockstepMulti: got %v, want image 1 %q at step %d", errM, tc.want, tc.step)
+			}
+		})
+	}
+}
+
+// TestSameCheckedMatchesMask: the block equality compareStep takes first
+// sees a change in exactly the registers outside unchecked.
+func TestSameCheckedMatchesMask(t *testing.T) {
+	var a [isa.NumRegs]uint32
+	for r := range a {
+		b := a
+		b[r] = 1
+		if got, want := sameChecked(&a, &b), unchecked>>r&1 != 0; got != want {
+			t.Errorf("%s: sameChecked = %v, want %v", isa.RegName(r), got, want)
+		}
 	}
 }
